@@ -54,7 +54,7 @@ type app_case = {
      prepare per pass: dmr mutates its mesh in place. *)
   prepare :
     seed:int -> size:int ->
-    (pool:Galois.Pool.t -> Galois.Policy.t -> Galois.Runtime.report) * int;
+    (pool:Galois.Pool.t -> Galois.Policy.t -> Galois.Run.report) * int;
 }
 
 let seed = 2014
@@ -185,8 +185,8 @@ let bench_case ~threads ~timing_pool ~alloc_pool { name; size; priority; prepare
   let g0 = Gc.quick_stat () in
   let alloc = exec1 ~pool:alloc_pool (det 1) in
   let g1 = Gc.quick_stat () in
-  let stats = timing.Galois.Runtime.stats in
-  let astats = alloc.Galois.Runtime.stats in
+  let stats = timing.Galois.Run.stats in
+  let astats = alloc.Galois.Run.stats in
   if not (Galois.Trace_digest.equal stats.digest astats.digest) then
     Fmt.failwith "%s: det:%d and det:1 disagree on the schedule digest (%a vs %a)"
       name threads Galois.Trace_digest.pp stats.digest Galois.Trace_digest.pp
@@ -496,7 +496,7 @@ let () =
     let _, report =
       Apps.Bfs.galois ~record:true ~policy:(Galois.Policy.det 1) g ~source:0
     in
-    match report.Galois.Runtime.schedule with
+    match report.Galois.Run.schedule with
     | None -> Fmt.failwith "bench_apps: --cachesim run recorded no schedule"
     | Some sched ->
         let boxed, compact = Cachesim.Layout.compare_layouts g sched in

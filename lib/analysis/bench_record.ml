@@ -69,10 +69,10 @@ let phases_consistent t =
   Float.abs (sum -. t.wall_s) <= 1e-6 +. (1e-9 *. Float.abs t.wall_s)
 
 (* ------------------------------------------------------------------ *)
-(* JSON encoding                                                       *)
+(* JSON encoding: the shared flat codec, laid out one field per line    *)
 (* ------------------------------------------------------------------ *)
 
-type jv = S of string | I of int | F of float
+open Obs.Jsonl
 
 let fields t =
   [
@@ -107,23 +107,6 @@ let fields t =
     ("digest", S t.digest);
   ]
 
-let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_float buf f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.1f" f)
-  else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-
 let to_json t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n";
@@ -133,150 +116,10 @@ let to_json t =
       Buffer.add_string buf "  \"";
       Buffer.add_string buf k;
       Buffer.add_string buf "\": ";
-      match v with
-      | S s ->
-          Buffer.add_char buf '"';
-          add_escaped buf s;
-          Buffer.add_char buf '"'
-      | I i -> Buffer.add_string buf (string_of_int i)
-      | F f -> add_float buf f)
+      add_value buf v)
     (fields t);
   Buffer.add_string buf "\n}\n";
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* JSON parsing (flat objects of strings and numbers only)             *)
-(* ------------------------------------------------------------------ *)
-
-exception Bad of string
-
-let parse_flat text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let fail msg = raise (Bad msg) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | _ -> fail (Printf.sprintf "expected %c at offset %d" c !pos)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match text.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            if !pos >= n then fail "unterminated escape";
-            (match text.[!pos] with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'u' ->
-                if !pos + 4 >= n then fail "bad \\u escape";
-                let hex = String.sub text (!pos + 1) 4 in
-                let code =
-                  try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-                in
-                if code > 0xff then fail "\\u escape beyond latin-1"
-                else Buffer.add_char buf (Char.chr code);
-                pos := !pos + 4
-            | c -> fail (Printf.sprintf "bad escape \\%c" c));
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !pos < n && is_num text.[!pos] do
-      incr pos
-    done;
-    if !pos = start then fail (Printf.sprintf "expected value at offset %d" start);
-    let txt = String.sub text start (!pos - start) in
-    match int_of_string_opt txt with
-    | Some i -> I i
-    | None -> (
-        match float_of_string_opt txt with
-        | Some f -> F f
-        | None -> fail (Printf.sprintf "bad number %S" txt))
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> S (parse_string ())
-    | Some ('0' .. '9' | '-') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unsupported value starting with %c" c)
-    | None -> fail "truncated input"
-  in
-  expect '{';
-  let acc = ref [] in
-  skip_ws ();
-  (match peek () with
-  | Some '}' -> incr pos
-  | _ ->
-      let rec members () =
-        skip_ws ();
-        let k = parse_string () in
-        expect ':';
-        let v = parse_value () in
-        if List.mem_assoc k !acc then fail (Printf.sprintf "duplicate field %S" k);
-        acc := (k, v) :: !acc;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            members ()
-        | Some '}' -> incr pos
-        | _ -> fail "expected ',' or '}'"
-      in
-      members ());
-  skip_ws ();
-  if !pos <> n then fail "trailing characters after object";
-  List.rev !acc
-
-let get fs k =
-  match List.assoc_opt k fs with
-  | Some v -> v
-  | None -> raise (Bad (Printf.sprintf "missing field %S" k))
-
-let get_int fs k =
-  match get fs k with
-  | I i -> i
-  | _ -> raise (Bad (Printf.sprintf "field %S: expected integer" k))
-
-let get_float fs k =
-  match get fs k with
-  | F f -> f
-  | I i -> float_of_int i
-  | _ -> raise (Bad (Printf.sprintf "field %S: expected number" k))
-
-let get_string fs k =
-  match get fs k with
-  | S s -> s
-  | _ -> raise (Bad (Printf.sprintf "field %S: expected string" k))
 
 let of_json text =
   match

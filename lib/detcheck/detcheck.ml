@@ -52,7 +52,7 @@ type run_result = {
 type case = {
   name : string;
   static_id_capable : bool;
-      (* true iff running the case with [Runtime.for_each ~static_id]
+      (* true iff running the case with [Run.static_id]
          preserves its semantics (task keys are unique, so duplicate
          collapsing is a no-op) *)
   run :
@@ -594,7 +594,7 @@ module Audit_cases = struct
     let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
     let uw = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 2) sym in
     let pts = Geometry.Point.random_unit_square ~seed (max 4 points) in
-    let audit_of (report : Galois.Runtime.report) = need report.audit in
+    let audit_of (report : Galois.Run.report) = need report.audit in
     [
       {
         name = "bfs";

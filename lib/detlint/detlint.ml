@@ -369,26 +369,13 @@ let scan_paths paths = List.concat_map scan_path paths
 let pp_finding ppf f =
   Fmt.pf ppf "%s:%d:%d: [%s] %s" f.file f.line f.col f.rule f.message
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let to_json f =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "{\"file\":\"";
-  json_escape buf f.file;
+  Obs.Jsonl.add_escaped buf f.file;
   Buffer.add_string buf (Printf.sprintf "\",\"line\":%d,\"col\":%d,\"rule\":\"" f.line f.col);
-  json_escape buf f.rule;
+  Obs.Jsonl.add_escaped buf f.rule;
   Buffer.add_string buf "\",\"message\":\"";
-  json_escape buf f.message;
+  Obs.Jsonl.add_escaped buf f.message;
   Buffer.add_string buf "\"}";
   Buffer.contents buf

@@ -203,9 +203,9 @@ end
 (* JSONL encoding *)
 
 module Jsonl = struct
-  (* A flat JSON value: this module only ever emits (and therefore only
+  (* A flat JSON value: this codec only ever emits (and therefore only
      ever parses) strings and numbers. *)
-  type jv = S of string | I of int | F of float
+  type value = S of string | I of int | F of float
 
   let fields = function
     | Run_begin { policy; threads; tasks } ->
@@ -286,7 +286,7 @@ module Jsonl = struct
       Buffer.add_string buf (Printf.sprintf "%.1f" f)
     else Buffer.add_string buf (Printf.sprintf "%.17g" f)
 
-  let add_jv buf = function
+  let add_value buf = function
     | S s ->
         Buffer.add_char buf '"';
         add_escaped buf s;
@@ -307,29 +307,33 @@ module Jsonl = struct
         Buffer.add_string buf ",\"";
         Buffer.add_string buf k;
         Buffer.add_string buf "\":";
-        add_jv buf v)
+        add_value buf v)
       fs;
     Buffer.add_char buf '}';
     Buffer.contents buf
 
-  (* Minimal parser for the flat objects emitted above. *)
+  (* Minimal parser for the flat objects emitted above. Whitespace is
+     JSON's: space, tab, newline and carriage return — so a CRLF trace
+     line and a pretty-printed multi-line object both parse. *)
 
   exception Bad of string
 
-  let parse_flat line =
-    let n = String.length line in
+  let parse_flat text =
+    let n = String.length text in
     let pos = ref 0 in
     let fail msg = raise (Bad msg) in
-    let peek () = if !pos < n then Some line.[!pos] else None in
+    let peek () = if !pos < n then Some text.[!pos] else None in
     let skip_ws () =
-      while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
+      while
+        !pos < n
+        && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
       do incr pos done
     in
     let expect c =
       skip_ws ();
       match peek () with
       | Some c' when c' = c -> incr pos
-      | _ -> fail (Printf.sprintf "expected %c at column %d" c !pos)
+      | _ -> fail (Printf.sprintf "expected %c at offset %d" c !pos)
     in
     let parse_string () =
       expect '"';
@@ -337,12 +341,12 @@ module Jsonl = struct
       let rec go () =
         if !pos >= n then fail "unterminated string"
         else
-          match line.[!pos] with
+          match text.[!pos] with
           | '"' -> incr pos
           | '\\' ->
               incr pos;
               if !pos >= n then fail "unterminated escape";
-              (match line.[!pos] with
+              (match text.[!pos] with
               | '"' -> Buffer.add_char buf '"'
               | '\\' -> Buffer.add_char buf '\\'
               | '/' -> Buffer.add_char buf '/'
@@ -351,7 +355,7 @@ module Jsonl = struct
               | 't' -> Buffer.add_char buf '\t'
               | 'u' ->
                   if !pos + 4 >= n then fail "bad \\u escape";
-                  let hex = String.sub line (!pos + 1) 4 in
+                  let hex = String.sub text (!pos + 1) 4 in
                   let code =
                     try int_of_string ("0x" ^ hex)
                     with _ -> fail "bad \\u escape"
@@ -377,9 +381,9 @@ module Jsonl = struct
         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
         | _ -> false
       in
-      while !pos < n && is_num line.[!pos] do incr pos done;
-      if !pos = start then fail (Printf.sprintf "expected value at column %d" start);
-      let txt = String.sub line start (!pos - start) in
+      while !pos < n && is_num text.[!pos] do incr pos done;
+      if !pos = start then fail (Printf.sprintf "expected value at offset %d" start);
+      let txt = String.sub text start (!pos - start) in
       match int_of_string_opt txt with
       | Some i -> I i
       | None -> (
@@ -393,7 +397,7 @@ module Jsonl = struct
       | Some '"' -> S (parse_string ())
       | Some ('0' .. '9' | '-') -> parse_number ()
       | Some c -> fail (Printf.sprintf "unsupported value starting with %c" c)
-      | None -> fail "truncated line"
+      | None -> fail "truncated input"
     in
     expect '{';
     let fields = ref [] in
@@ -542,6 +546,7 @@ module Jsonl = struct
       (fun () ->
         let rec go lineno acc =
           match input_line ic with
+          | exception End_of_file when acc = [] -> Error (path ^ ": empty trace")
           | exception End_of_file -> Ok (List.rev acc)
           | line -> (
               match of_line line with

@@ -192,6 +192,43 @@ end
     Self-contained emitter and validating parser (no external JSON
     dependency); [of_line (to_line s)] round-trips every event. *)
 module Jsonl : sig
+  (** {2 Flat JSON codec}
+
+      The repository's one JSON codec: flat objects whose values are
+      strings and numbers only. Traces, benchmark records and the
+      lint's [--json] findings are all written and read with it. *)
+
+  type value = S of string | I of int | F of float
+
+  exception Bad of string
+  (** Raised by {!parse_flat} and the [get_*] accessors. *)
+
+  val add_escaped : Buffer.t -> string -> unit
+  (** Append a string's JSON escaping, without the surrounding quotes:
+      quote, backslash, [\n], [\r] and [\t] get short escapes, other
+      control characters [\u00XX]. *)
+
+  val add_value : Buffer.t -> value -> unit
+  (** Strings quoted and escaped; integral floats as ["N.0"] (still a
+      JSON number), other floats at 17 significant digits, so every
+      value parses back bit-exact. *)
+
+  val parse_flat : string -> (string * value) list
+  (** Parse one flat JSON object into its fields, in text order. Any
+      JSON whitespace (space, tab, newline, carriage return) may
+      surround the tokens. Raises {!Bad} on a duplicate field, a nested
+      or non-numeric/non-string value, or trailing characters. *)
+
+  val get_int : (string * value) list -> string -> int
+  (** Field accessors: raise {!Bad} on a missing field or a wrong type. *)
+
+  val get_float : (string * value) list -> string -> float
+  (** Also accepts an integer, widened. *)
+
+  val get_string : (string * value) list -> string -> string
+
+  (** {2 Events} *)
+
   val to_line : stamped -> string
   (** Without the trailing newline. *)
 
@@ -203,7 +240,9 @@ module Jsonl : sig
   val validate_line : string -> (unit, string) result
 
   val load : string -> (stamped list, string) result
-  (** Read a trace file; the error names the first offending line. *)
+  (** Read a trace file; the error names the first offending line. A
+      file without events is an error too: every traced run emits at
+      least its [run_begin]/[run_end] pair. *)
 
   val sink : out_channel -> sink
   (** Write lines to a channel the caller owns; [close] only flushes. *)

@@ -55,6 +55,63 @@ let test_formatters () =
   Alcotest.(check string) "xf" "2.40X" (Analysis.Table.xf 2.4);
   Alcotest.(check string) "i" "42" (Analysis.Table.i 42)
 
+(* --- Bench_record: the committed baselines are the codec's fixtures. *)
+
+let baseline_dir = "../bench/baseline"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let baselines () =
+  Sys.readdir baseline_dir |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+  |> List.sort compare
+  |> List.map (fun f -> (f, read_file (Filename.concat baseline_dir f)))
+
+let parse_record label text =
+  match Analysis.Bench_record.of_json text with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "%s: %s" label e
+
+let test_bench_record_baselines () =
+  let files = baselines () in
+  Alcotest.(check bool) "baselines present" true (files <> []);
+  List.iter
+    (fun (f, text) ->
+      let r = parse_record f text in
+      Alcotest.(check string) (f ^ " byte for byte") text (Analysis.Bench_record.to_json r);
+      (* The same record with CRLF line ends: '\r' is JSON whitespace. *)
+      let crlf = String.concat "\r\n" (String.split_on_char '\n' text) in
+      Alcotest.(check string) (f ^ " CRLF") text
+        (Analysis.Bench_record.to_json (parse_record (f ^ " CRLF") crlf)))
+    files
+
+let test_bench_record_escapes () =
+  let _, text = List.hd (baselines ()) in
+  let r = { (parse_record "baseline" text) with app = "a\"b\\c\td\re\nf\001" } in
+  let r' = parse_record "escaped" (Analysis.Bench_record.to_json r) in
+  Alcotest.(check string) "app round-trips" r.app r'.app
+
+let test_bench_record_rejects () =
+  let _, text = List.hd (baselines ()) in
+  let lines = String.split_on_char '\n' text in
+  let field k l = String.starts_with ~prefix:(Printf.sprintf "  %S:" k) l in
+  let edit f = String.concat "\n" (f lines) in
+  let after_brace extra = edit (fun ls -> List.hd ls :: extra :: List.tl ls) in
+  let reject label t =
+    match Analysis.Bench_record.of_json t with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+  in
+  ignore (parse_record "unedited" text);
+  reject "missing field" (edit (List.filter (fun l -> not (field "seed" l))));
+  reject "extra field" (after_brace {|  "bogus": 1,|});
+  reject "duplicate field" (after_brace {|  "seed": 1,|});
+  reject "string for int"
+    (edit (List.map (fun l -> if field "size" l then {|  "size": "1",|} else l)));
+  reject "number for string"
+    (edit (List.map (fun l -> if field "app" l then {|  "app": 1,|} else l)));
+  reject "trailing characters" (text ^ "}")
+
 (* Property: median is invariant under permutation and lies within
    min..max. *)
 let prop_median_bounds =
@@ -74,5 +131,8 @@ let suite =
     Alcotest.test_case "table rendering" `Quick test_table_rendering;
     Alcotest.test_case "table validation" `Quick test_table_validation;
     Alcotest.test_case "cell formatters" `Quick test_formatters;
+    Alcotest.test_case "bench record: baselines round-trip" `Quick test_bench_record_baselines;
+    Alcotest.test_case "bench record: string escapes" `Quick test_bench_record_escapes;
+    Alcotest.test_case "bench record: rejects bad records" `Quick test_bench_record_rejects;
     QCheck_alcotest.to_alcotest prop_median_bounds;
   ]

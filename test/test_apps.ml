@@ -60,6 +60,41 @@ let test_sssp_weight_plane_equivalent () =
   check_bool "schedule digests equal" true
     (Galois.Trace_digest.equal rep_arr.stats.digest rep_pl.stats.digest)
 
+let test_sssp_delta_stepping_payoff () =
+  (* Soft-priority scheduling end to end on a weighted R-MAT: prio=auto
+     keeps the prio=off (= Dijkstra) distances, both digests are
+     thread-invariant, and the bucketed schedule cuts abstract work by
+     at least a quarter — the delta-stepping payoff. *)
+  let g =
+    Graphlib.Graph_io.attach_random_weights ~seed:2015 ~max_weight:100
+      (Gen.rmat ~seed:2014 ~scale:13 ~edge_factor:8 ())
+  in
+  let weights = Option.get (Csr.weights_array g) in
+  let reference = Apps.Sssp.serial g weights ~source:0 in
+  let run ?(priority = Galois.Policy.Prio_off) threads =
+    let policy =
+      Galois.Policy.det ~options:(Galois.Policy.Det_options.make ~priority ()) threads
+    in
+    let dist, report = Apps.Sssp.galois_weighted ~policy g ~source:0 in
+    (dist, report.stats)
+  in
+  let auto = Galois.Policy.Prio_auto in
+  let dist_off, off4 = run 4 and _, off1 = run 1 in
+  let dist_auto, auto4 = run ~priority:auto 4 in
+  let _, auto1 = run ~priority:auto 1 and _, auto2 = run ~priority:auto 2 in
+  let same = Galois.Trace_digest.equal in
+  check_bool "prio=off distances match Dijkstra" true (dist_off = reference);
+  check_bool "prio=auto distances match Dijkstra" true (dist_auto = reference);
+  check_bool "prio=off digest thread-invariant" true (same off4.digest off1.digest);
+  check_bool "prio=auto digest thread-invariant (1,2,4)" true
+    (same auto4.digest auto1.digest && same auto4.digest auto2.digest);
+  check_bool "prio=auto bucketizes" true (auto4.buckets > 0 && off4.buckets = 0);
+  check_bool "schedules differ" false (same off4.digest auto4.digest);
+  let drop = 1.0 -. (float_of_int auto4.work_units /. float_of_int off4.work_units) in
+  if drop < 0.25 then
+    Alcotest.failf "work_units off=%d auto=%d: drop %.1f%% below the 25%% floor"
+      off4.work_units auto4.work_units (100.0 *. drop)
+
 (* --- mis -------------------------------------------------------------- *)
 
 let mis_graph () = Csr.symmetrize (Gen.kout ~seed:11 ~n:2000 ~k:4 ())
@@ -264,6 +299,8 @@ let suite =
     Alcotest.test_case "bfs: disconnected graph" `Quick test_bfs_disconnected;
     Alcotest.test_case "sssp: weight plane = weight array" `Quick
       test_sssp_weight_plane_equivalent;
+    Alcotest.test_case "sssp: delta-stepping payoff on weighted rmat" `Quick
+      test_sssp_delta_stepping_payoff;
     Alcotest.test_case "mis: all variants valid" `Quick test_mis_all_valid;
     Alcotest.test_case "mis: pbbs is lexicographic greedy" `Quick test_mis_pbbs_lexicographic;
     Alcotest.test_case "mis: det portable" `Quick test_mis_det_portable;

@@ -157,6 +157,34 @@ let test_file_sink_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loaded a nonexistent file"
 
+let with_temp_trace text f =
+  let path = Filename.temp_file "obs_test" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+let test_load_crlf () =
+  (* A trace that went through a CRLF tool keeps a '\r' at the end of
+     every line read back; it is JSON whitespace, not trailing junk. *)
+  let lines = List.map (fun e -> Obs.Jsonl.to_line (stamp e)) exemplars in
+  with_temp_trace
+    (String.concat "" (List.map (fun l -> l ^ "\r\n") lines))
+    (fun path ->
+      match Obs.Jsonl.load path with
+      | Error e -> Alcotest.fail e
+      | Ok events ->
+          Alcotest.(check (list string)) "same events" lines (List.map Obs.Jsonl.to_line events))
+
+let test_load_rejects_empty () =
+  (* Every traced run emits at least run_begin/run_end: a file without
+     events means the run never reached the sink. *)
+  with_temp_trace "" (fun path ->
+      match Obs.Jsonl.load path with
+      | Error e -> check_bool "names the problem" true (String.ends_with ~suffix:"empty trace" e)
+      | Ok _ -> Alcotest.fail "loaded an empty trace")
+
 let suite =
   [
     Alcotest.test_case "jsonl round-trips every event" `Quick test_jsonl_roundtrip;
@@ -168,4 +196,6 @@ let suite =
     Alcotest.test_case "memory ring capacity" `Quick test_memory_ring;
     Alcotest.test_case "tee and null sinks" `Quick test_tee_and_null;
     Alcotest.test_case "file sink round-trip" `Quick test_file_sink_roundtrip;
+    Alcotest.test_case "CRLF trace loads" `Quick test_load_crlf;
+    Alcotest.test_case "empty trace rejected" `Quick test_load_rejects_empty;
   ]
